@@ -51,9 +51,18 @@ def generate_pageloads(
 
     page_rng = scenario.rng
     records: List[PageLoadRecord] = []
+    browsing = len(scenario.browsers)
 
     def browse(browser, remaining: int, index: int) -> None:
+        nonlocal browsing
         if remaining <= 0:
+            # The last browser is done and no page is in flight, so the
+            # radios (on their own RNG streams) can no longer change a
+            # record: stop them and let the run drain to quiescence.
+            browsing -= 1
+            if browsing == 0:
+                for radio in scenario.radios:
+                    radio.stop()
             return
         page = make_page(page_rng, page_id=f"p{index}-{remaining}")
 
@@ -71,9 +80,7 @@ def generate_pageloads(
 
     for index, browser in enumerate(scenario.browsers):
         sim.schedule(page_rng.uniform(0, 5), browse, browser, n_pages_per_client, index)
-    sim.run(max_events=5_000_000)
-    for radio in scenario.radios:
-        radio.stop()
+    sim.run()
     return records
 
 

@@ -228,13 +228,11 @@ class AllocationEngine:
             self._refresh_changed_loads()
             return SolveResult("noop", {}, self._drain_changed())
 
-        touched = self._affected_flows()
         total = len(self._flows)
-        if (
-            not self.config.incremental
-            or total == 0
-            or len(touched) >= self.config.full_solve_fraction * total
-        ):
+        full_at = self.config.full_solve_fraction * total
+        incremental = self.config.incremental and total > 0
+        touched = self._affected_flows(full_at) if incremental else set()
+        if not incremental or len(touched) >= full_at:
             mode = "full"
             self.counters.full_solves += 1
             targets = list(self._flows.values())
@@ -246,11 +244,23 @@ class AllocationEngine:
 
         raw = max_min_allocation(targets)
         cap = self.config.max_rate_mbps
+        rates = self.rates
+        link_loads = self.link_loads
+        changed_links = self._changed_links
         new_rates: Dict[str, float] = {}
         for flow in targets:
-            rate = min(raw.get(flow.flow_id, 0.0), cap)
-            new_rates[flow.flow_id] = rate
-            self._apply_rate(flow.flow_id, rate)
+            flow_id = flow.flow_id
+            rate = min(raw.get(flow_id, 0.0), cap)
+            new_rates[flow_id] = rate
+            old_rate = rates.get(flow_id, 0.0)
+            if rate == old_rate:
+                continue
+            delta = rate - old_rate
+            for link in self._applied_path[flow_id]:
+                link_id = link.link_id
+                link_loads[link_id] = link_loads.get(link_id, 0.0) + delta
+                changed_links.add(link_id)
+            rates[flow_id] = rate
 
         self._dirty_flows.clear()
         self._dirty_links.clear()
@@ -272,17 +282,6 @@ class AllocationEngine:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _apply_rate(self, flow_id: str, new_rate: float) -> None:
-        old_rate = self.rates.get(flow_id, 0.0)
-        if new_rate == old_rate:
-            return
-        delta = new_rate - old_rate
-        for link in self._applied_path[flow_id]:
-            link_id = link.link_id
-            self.link_loads[link_id] = self.link_loads.get(link_id, 0.0) + delta
-            self._changed_links.add(link_id)
-        self.rates[flow_id] = new_rate
-
     def _refresh_changed_loads(self) -> None:
         """Recompute each changed link's load exactly from member rates.
 
@@ -306,12 +305,14 @@ class AllocationEngine:
         self._changed_links = set()
         return changed
 
-    def _affected_flows(self) -> Set[str]:
+    def _affected_flows(self, full_at: float) -> Set[str]:
         """Closure of the dirty seeds over the flow–link sharing graph.
 
         Every link reached contributes *all* its member flows, so the
         returned set is closed: no untouched flow shares a link with a
         touched one, which is what makes the component solve exact.
+        The walk stops early once ``full_at`` flows are touched: the
+        solve is then full, so the rest of the closure is never read.
         """
         touched: Set[str] = set()
         seen_links: Set[str] = set()
@@ -328,7 +329,7 @@ class AllocationEngine:
                 if flow_id not in touched:
                     touched.add(flow_id)
                     pending.append(flow_id)
-        while pending:
+        while pending and len(touched) < full_at:
             flow_id = pending.popleft()
             for link in self._flows[flow_id].path:
                 link_id = link.link_id

@@ -130,7 +130,7 @@ class FluidNetwork:
         self._split_policy: Dict[str, _SplitState] = {}
         self._flow_counter = itertools.count()
         self._epoch = 0
-        self._completion_scheduled = False
+        self._synced_at: Optional[float] = None
         self.link_stats: Dict[str, LinkStats] = {
             link.link_id: LinkStats(link.link_id, link.capacity_mbps)
             for link in topology.links()
@@ -446,8 +446,16 @@ class FluidNetwork:
         return self.topology.path_links(node_path)
 
     def _sync_to_now(self) -> None:
-        """Progress all flows and link integrals to the current instant."""
+        """Progress all flows and link integrals to the current instant.
+
+        A second call at the same instant returns at once: no time has
+        elapsed, so advancing and progressing would change nothing
+        (flows started since the last call already stand at ``now``).
+        """
         now = self.sim.now
+        if now == self._synced_at:
+            return
+        self._synced_at = now
         for stats in self.link_stats.values():
             stats.advance(now)
         for flow in self._flows.values():

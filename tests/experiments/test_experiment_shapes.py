@@ -97,6 +97,25 @@ class TestE3Inference:
         report = exp_e3_inference.evaluate_inference(records, seed=1)
         assert report["spearman"] > 0.5
 
+    def test_run_ends_at_quiescence(self, monkeypatch):
+        # Once the last browser is done the radios stop, so the queue
+        # drains shortly after the last page load instead of ticking on.
+        built = []
+        build = exp_e3_inference.build_scenario
+
+        def capture(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(exp_e3_inference, "build_scenario", capture)
+        records = exp_e3_inference.generate_pageloads(
+            seed=1, n_clients=6, n_pages_per_client=15
+        )
+        assert len(records) == 90
+        (scenario,) = built
+        assert scenario.sim.pending_events == 0
+        assert scenario.sim.now < 500
+
 
 @pytest.fixture(scope="module")
 def e4():
