@@ -146,8 +146,7 @@ def run_loop_latency(seed: int = 0, **kwargs) -> ExperimentResult:
 
 def _collapse_plan():
     """The spec's cdn1-uplink-collapse plan at default parameters."""
-    spec = load_library_spec("cdn-fault")
-    (plan,) = spec.fault_plans(spec.resolved_params())
+    (plan,) = load_library_spec("cdn-fault").resolve().fault_plans()
     return plan
 
 

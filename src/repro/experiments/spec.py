@@ -32,6 +32,7 @@ from typing import (
     Union,
 )
 
+from repro.core.schemas import dataclass_from_dict
 from repro.experiments.common import ExperimentResult
 
 ARTIFACT_SCHEMA = "eona-run-artifact/2"
@@ -427,21 +428,7 @@ class RunArtifact:
             raise ValueError(
                 f"unsupported artifact schema {schema!r} (want {ARTIFACT_SCHEMA!r})"
             )
-        return cls(
-            experiment=str(payload["experiment"]),
-            title=str(payload["title"]),
-            source=str(payload["source"]),
-            module=str(payload["module"]),
-            seeds=[int(seed) for seed in payload["seeds"]],  # type: ignore[union-attr]
-            parallel=bool(payload["parallel"]),
-            wall_time_s=float(payload["wall_time_s"]),  # type: ignore[arg-type]
-            tables=list(payload["tables"]),  # type: ignore[arg-type]
-            checks=list(payload["checks"]),  # type: ignore[arg-type]
-            counters=dict(payload["counters"]),  # type: ignore[arg-type]
-            metrics=dict(payload.get("metrics") or {}),  # type: ignore[arg-type]
-            provenance=dict(payload["provenance"]),  # type: ignore[arg-type]
-            schema=str(schema),
-        )
+        return dataclass_from_dict(cls, payload)  # type: ignore[return-value]
 
     @classmethod
     def from_json(cls, text: str) -> "RunArtifact":

@@ -32,13 +32,7 @@ from repro.faults.plan import FaultPlan
 from repro.network.fluidsim import FluidNetwork
 from repro.network.topology import Topology
 from repro.obs.trace import TRACER
-from repro.scenarios.schema import (
-    GroupPlan,
-    ScenarioError,
-    ScenarioSpec,
-    _resolve_int,
-    _resolve_number,
-)
+from repro.scenarios.schema import CdnSpec, GroupPlan, ScenarioError, ScenarioSpec
 from repro.sdn.te import EgressGroup
 from repro.simkernel.kernel import Simulator
 from repro.web.browser import Browser
@@ -219,48 +213,20 @@ class ScenarioWorld:
         return self.populations[name]
 
 
-def _expand_servers(
-    cdn_name: str,
-    spec: ScenarioSpec,
-    world: ScenarioWorld,
-    params: Mapping[str, Any],
-) -> List[CdnServer]:
+def _expand_servers(cdn_spec: CdnSpec, world: ScenarioWorld) -> List[CdnServer]:
     servers: List[CdnServer] = []
-    (cdn_spec,) = [cdn for cdn in spec.cdns if cdn.name == cdn_name]
     for server in cdn_spec.servers:
-        capacity = _resolve_int(
-            server.capacity_sessions, params, "capacity_sessions", minimum=1
-        )
-        cache = _resolve_number(server.cache_mbit, params, "cache_mbit", positive=True)
-        degraded = (
-            None
-            if server.degraded_rate_mbps is None
-            else _resolve_number(
-                server.degraded_rate_mbps, params, "degraded_rate_mbps", positive=True
-            )
+        kwargs = dict(
+            capacity_sessions=server.capacity_sessions,
+            cache_mbit=server.cache_mbit,
+            degraded_rate_mbps=server.degraded_rate_mbps,
         )
         if server.group:
             for index, node in enumerate(world.group_nodes(server.group)):
                 server_id = server.id_format.format(node=node, index=index)
-                servers.append(
-                    CdnServer(
-                        server_id,
-                        node,
-                        capacity_sessions=capacity,
-                        cache_mbit=cache,
-                        degraded_rate_mbps=degraded,
-                    )
-                )
+                servers.append(CdnServer(server_id, node, **kwargs))
         else:
-            servers.append(
-                CdnServer(
-                    server.server_id,
-                    server.node,
-                    capacity_sessions=capacity,
-                    cache_mbit=cache,
-                    degraded_rate_mbps=degraded,
-                )
-            )
+            servers.append(CdnServer(server.server_id, server.node, **kwargs))
     return servers
 
 
@@ -284,8 +250,8 @@ def compile_scenario(
             ``phase-transition`` trace events (no-op unless tracing is
             enabled -- same contract as :func:`trace_phases`).
     """
-    resolved = spec.resolved_params(params)
-    plan = spec.topology_plan(resolved)
+    resolved = spec.resolve(params)
+    plan = resolved.topology_plan()
 
     topo = Topology(plan.name)
     for step_kind, step in plan.steps:
@@ -304,40 +270,31 @@ def compile_scenario(
     ctx = build_context(topology=topo, seed=seed)
     world = ScenarioWorld(
         spec=spec,
-        params=dict(resolved),
+        params=dict(resolved.params),
         ctx=ctx,
         groups={name: group for name, group in plan.groups.items()},
         aliases=dict(plan.aliases),
     )
 
-    if spec.catalog is not None:
+    if resolved.catalog is not None:
         world.catalog = ContentCatalog(
-            n_items=_resolve_int(spec.catalog.items, resolved, "catalog.items", minimum=1),
-            duration_s=_resolve_number(
-                spec.catalog.duration_s, resolved, "catalog.duration_s", positive=True
-            ),
-            zipf_alpha=_resolve_number(
-                spec.catalog.zipf_alpha, resolved, "catalog.zipf_alpha", minimum=0
-            ),
+            n_items=resolved.catalog.items,
+            duration_s=resolved.catalog.duration_s,
+            zipf_alpha=resolved.catalog.zipf_alpha,
         )
 
-    for cdn_spec in spec.cdns:
+    for cdn_spec in resolved.cdns:
         cdn = Cdn(
             cdn_spec.name,
-            _expand_servers(cdn_spec.name, spec, world, resolved),
+            _expand_servers(cdn_spec, world),
             origin=Origin(cdn_spec.origin) if cdn_spec.origin else None,
             ctx=ctx,
         )
         if cdn_spec.warm_top_fraction is not None:
-            cdn.warm_caches(
-                world.catalog,
-                top_fraction=_resolve_number(
-                    cdn_spec.warm_top_fraction, resolved, "warm_top_fraction", minimum=0
-                ),
-            )
+            cdn.warm_caches(world.catalog, top_fraction=cdn_spec.warm_top_fraction)
         world.cdns[cdn_spec.name] = cdn
 
-    for egress_spec in spec.egress:
+    for egress_spec in resolved.egress:
         world.egress.append(
             EgressGroup(
                 name=egress_spec.name,
@@ -351,24 +308,24 @@ def compile_scenario(
             )
         )
 
-    if spec.web is not None:
-        world.web_server = spec.web.server_node
-        clients = world.group_nodes(spec.web.clients)
-        links = world.group_links(spec.web.clients)
-        if spec.web.radio_tick_s is not None:
-            tick_s = _resolve_number(
-                spec.web.radio_tick_s, resolved, "web.radio_tick_s", positive=True
-            )
+    web = resolved.web
+    if web is not None:
+        world.web_server = web.server_node
+        clients = world.group_nodes(web.clients)
+        links = world.group_links(web.clients)
+        if web.radio_tick_s is not None:
             for index, (node, link_id) in enumerate(zip(clients, links)):
-                rng = ctx.sim.rng.get(f"{spec.web.radio_stream}:{index}")
-                radio = RadioModel(ctx.sim, ctx.network, link_id, rng, tick_s=tick_s)
+                rng = ctx.sim.rng.get(f"{web.radio_stream}:{index}")
+                radio = RadioModel(
+                    ctx.sim, ctx.network, link_id, rng, tick_s=web.radio_tick_s
+                )
                 world.radios.append(radio)
                 world.browsers.append(
                     Browser(
                         ctx.sim,
                         ctx.network,
                         client_node=node,
-                        server_node=spec.web.server_node,
+                        server_node=web.server_node,
                         radio=radio,
                     )
                 )
@@ -379,51 +336,30 @@ def compile_scenario(
                         ctx.sim,
                         ctx.network,
                         client_node=node,
-                        server_node=spec.web.server_node,
+                        server_node=web.server_node,
                     )
                 )
 
-    if with_phases and spec.phases:
-        transitions = {
-            phase.name: _resolve_number(phase.at_s, resolved, "phases.at_s", minimum=0)
-            for phase in spec.phases
-        }
+    if with_phases and resolved.phases:
+        transitions = {phase.name: phase.at_s for phase in resolved.phases}
         trace_phases(ctx.sim, spec.name, transitions)
 
-    world.fault_plans = spec.fault_plans(resolved, plan=plan)
+    world.fault_plans = resolved.fault_plans(plan)
     if install_faults and world.fault_plans:
         world.injector = FaultInjector(ctx)
         for fault_plan in world.fault_plans:
             world.injector.install(fault_plan)
 
-    for population_spec in spec.populations:
+    for population_spec in resolved.populations:
         world.populations[population_spec.name] = Population(
             name=population_spec.name,
             group=population_spec.group,
             process=population_spec.process,
             mode=population_spec.mode,
             nodes=world.group_nodes(population_spec.group),
-            rate={
-                key: _resolve_number(
-                    value, resolved, f"populations.{population_spec.name}.rate.{key}",
-                    minimum=0,
-                )
-                for key, value in population_spec.rate.items()
-            },
-            until_s=(
-                None if population_spec.until_s is None
-                else _resolve_number(
-                    population_spec.until_s, resolved,
-                    f"populations.{population_spec.name}.until_s", minimum=0,
-                )
-            ),
-            max_sessions=(
-                None if population_spec.max_sessions is None
-                else _resolve_int(
-                    population_spec.max_sessions, resolved,
-                    f"populations.{population_spec.name}.max_sessions", minimum=1,
-                )
-            ),
+            rate=dict(population_spec.rate),
+            until_s=population_spec.until_s,
+            max_sessions=population_spec.max_sessions,
         )
 
     return world

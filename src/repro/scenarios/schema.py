@@ -2,18 +2,23 @@
 
 A scenario spec is pure data -- ordered topology build directives, CDN
 placement, session populations with arrival processes, phase timelines,
-and fault plans -- validated structurally at parse time (unknown keys
-are errors, with the offending path in the message) and referentially
-by :meth:`ScenarioSpec.validate` (dangling node/link/group references,
-overlapping phases, malformed fault events).  The engine
+and fault plans.  The classes only *declare* their fields (type, YAML
+key, allowed values, numeric bound); :mod:`repro.core.schemas`' decoder
+parses them structurally (unknown keys are errors, with the offending
+path in the message) and calls each class's ``check_fields`` for the
+rules that span fields.  :meth:`ScenarioSpec.validate` checks the rest
+referentially (dangling node/link/group references, duplicate names,
+fault events on unknown links).  The engine
 (:mod:`repro.scenarios.engine`) compiles a spec into a live world; this
 module never touches the simulator, so specs can be validated anywhere
 (CLI, CI) without building anything.
 
 Parameterisation: a spec declares named defaults under ``params`` and
-any numeric field may reference one as ``"$name"``; resolution happens
-at validate/compile time, so one committed spec serves a whole family
-of worlds (``build_scenario("flash-crowd", params={"n_clients": 50})``).
+any numeric field may reference one as ``"$name"``.
+:meth:`ScenarioSpec.resolve` substitutes them and checks every declared
+bound in one pass, at validate time (default params) and at compile
+time (with overrides), so one committed spec serves a whole family of
+worlds (``build_scenario("flash-crowd", params={"n_clients": 50})``).
 
 Determinism contract: the ``build`` list is *ordered* and the engine
 replays it verbatim -- node and link insertion order pins RNG stream
@@ -25,10 +30,20 @@ so fault targets and egress links resolve statically, without a world.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.faults.plan import FaultEvent, FaultPlan
+from repro.core.schemas import (
+    NumberOrRef,
+    SchemaError,
+    dataclass_from_dict,
+    dataclass_to_dict,
+    declare,
+    is_number,
+    number,
+    resolve_refs,
+)
+from repro.faults.plan import FaultEvent, FaultPlan, get_plan
 from repro.network.topology import NodeKind
 
 __all__ = [
@@ -73,114 +88,13 @@ PROCESS_KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 POPULATION_MODES: Tuple[str, ...] = ("sessions", "cohort")
 
 _NODE_KINDS: Dict[str, NodeKind] = {kind.value: kind for kind in NodeKind}
+_NODE_KIND_NAMES: Tuple[str, ...] = tuple(sorted(_NODE_KINDS))
 
 _LINK_DIRECTIONS: Tuple[str, ...] = ("to-member", "from-member")
 
 
 class ScenarioError(ValueError):
     """A malformed scenario spec; the message carries the spec path."""
-
-
-# ---------------------------------------------------------------------------
-# parse helpers (structural validation)
-# ---------------------------------------------------------------------------
-
-def _mapping(value: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ScenarioError(f"{where}: expected a mapping, got {type(value).__name__}")
-    for key in value:
-        if not isinstance(key, str):
-            raise ScenarioError(f"{where}: keys must be strings, got {key!r}")
-    return value
-
-
-def _take(
-    value: Any,
-    where: str,
-    required: Sequence[str] = (),
-    optional: Sequence[str] = (),
-) -> Dict[str, Any]:
-    """Destructure a mapping, rejecting unknown and missing keys."""
-    data = _mapping(value, where)
-    known = set(required) | set(optional)
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ScenarioError(
-            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}"
-            f" (known: {', '.join(sorted(known))})"
-        )
-    missing = sorted(set(required) - set(data))
-    if missing:
-        raise ScenarioError(f"{where}: missing required key(s) {', '.join(missing)}")
-    return dict(data)
-
-
-def _string(value: Any, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ScenarioError(f"{where}: expected a non-empty string, got {value!r}")
-    return value
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number_or_ref(value: Any, where: str) -> Any:
-    """A numeric literal (kept as parsed: int stays int) or a ``$param``."""
-    if _is_number(value):
-        return value
-    if isinstance(value, str) and value.startswith("$") and len(value) > 1:
-        return value
-    raise ScenarioError(
-        f"{where}: expected a number or a '$param' reference, got {value!r}"
-    )
-
-
-def _tags(value: Any, where: str) -> Tuple[str, ...]:
-    if value is None:
-        return ()
-    if not isinstance(value, (list, tuple)):
-        raise ScenarioError(f"{where}: expected a list of strings, got {value!r}")
-    return tuple(_string(item, where) for item in value)
-
-
-def _resolve(value: Any, params: Mapping[str, Any], where: str) -> Any:
-    """Substitute a ``$param`` reference; literals pass through."""
-    if isinstance(value, str) and value.startswith("$"):
-        name = value[1:]
-        if name not in params:
-            raise ScenarioError(
-                f"{where}: unknown parameter {value!r}"
-                f" (declared: {', '.join(sorted(params)) or 'none'})"
-            )
-        return params[name]
-    return value
-
-
-def _resolve_number(
-    value: Any,
-    params: Mapping[str, Any],
-    where: str,
-    minimum: Optional[float] = None,
-    positive: bool = False,
-) -> Any:
-    resolved = _resolve(value, params, where)
-    if not _is_number(resolved):
-        raise ScenarioError(f"{where}: expected a number, got {resolved!r}")
-    if positive and resolved <= 0:
-        raise ScenarioError(f"{where}: must be > 0, got {resolved!r}")
-    if minimum is not None and resolved < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}, got {resolved!r}")
-    return resolved
-
-
-def _resolve_int(value: Any, params: Mapping[str, Any], where: str, minimum: int = 0) -> int:
-    resolved = _resolve(value, params, where)
-    if not isinstance(resolved, int) or isinstance(resolved, bool):
-        raise ScenarioError(f"{where}: expected an integer, got {resolved!r}")
-    if resolved < minimum:
-        raise ScenarioError(f"{where}: must be >= {minimum}, got {resolved!r}")
-    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +105,10 @@ def _resolve_int(value: Any, params: Mapping[str, Any], where: str, minimum: int
 class NodeDirective:
     """``{node: {id, kind, owner, tags}}`` -- one topology node."""
 
-    node_id: str
-    kind: str = "router"
+    node_id: str = declare(key="id", nonempty=True)
+    kind: str = declare("router", choices=_NODE_KIND_NAMES)
     owner: str = ""
     tags: Tuple[str, ...] = ()
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "NodeDirective":
-        fields_ = _take(data, where, required=("id",), optional=("kind", "owner", "tags"))
-        kind = fields_.get("kind", "router")
-        if kind not in _NODE_KINDS:
-            raise ScenarioError(
-                f"{where}: unknown node kind {kind!r}"
-                f" (known: {', '.join(sorted(_NODE_KINDS))})"
-            )
-        return NodeDirective(
-            node_id=_string(fields_["id"], f"{where}.id"),
-            kind=kind,
-            owner=str(fields_.get("owner", "")),
-            tags=_tags(fields_.get("tags"), f"{where}.tags"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "id": self.node_id,
-            "kind": self.kind,
-            "owner": self.owner,
-            "tags": list(self.tags),
-        }
 
 
 @dataclass(frozen=True)
@@ -230,42 +120,13 @@ class LinkDirective:
     convention ``"src->dst"``.
     """
 
-    src: str
-    dst: str
-    capacity_mbps: Any
-    delay_ms: Any = 1.0
+    src: str = declare(nonempty=True)
+    dst: str = declare(nonempty=True)
+    capacity_mbps: NumberOrRef = number(positive=True)
+    delay_ms: NumberOrRef = number(1.0, minimum=0)
     owner: str = ""
     tags: Tuple[str, ...] = ()
     alias: str = ""
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "LinkDirective":
-        fields_ = _take(
-            data,
-            where,
-            required=("src", "dst", "capacity_mbps"),
-            optional=("delay_ms", "owner", "tags", "alias"),
-        )
-        return LinkDirective(
-            src=_string(fields_["src"], f"{where}.src"),
-            dst=_string(fields_["dst"], f"{where}.dst"),
-            capacity_mbps=_number_or_ref(fields_["capacity_mbps"], f"{where}.capacity_mbps"),
-            delay_ms=_number_or_ref(fields_.get("delay_ms", 1.0), f"{where}.delay_ms"),
-            owner=str(fields_.get("owner", "")),
-            tags=_tags(fields_.get("tags"), f"{where}.tags"),
-            alias=str(fields_.get("alias", "")),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "src": self.src,
-            "dst": self.dst,
-            "capacity_mbps": self.capacity_mbps,
-            "delay_ms": self.delay_ms,
-            "owner": self.owner,
-            "tags": list(self.tags),
-            "alias": self.alias,
-        }
 
 
 @dataclass(frozen=True)
@@ -278,66 +139,20 @@ class GroupDirective:
     ``from-member`` gives member->attach, the server-uplink shape).
     """
 
-    name: str
-    prefix: str
-    count: Any
-    attach: str
-    capacity_mbps: Any
-    delay_ms: Any = 5.0
-    kind: str = "client"
+    name: str = declare(nonempty=True)
+    prefix: str = declare(nonempty=True)
+    count: NumberOrRef = number(integer=True, minimum=1)
+    attach: str = declare(nonempty=True)
+    capacity_mbps: NumberOrRef = number(positive=True)
+    delay_ms: NumberOrRef = number(5.0, minimum=0)
+    kind: str = declare("client", choices=_NODE_KIND_NAMES)
     owner: str = ""
     link_owner: str = ""
     tags: Tuple[str, ...] = ()
-    direction: str = "to-member"
+    direction: str = declare("to-member", choices=_LINK_DIRECTIONS)
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "GroupDirective":
-        fields_ = _take(
-            data,
-            where,
-            required=("name", "prefix", "count", "attach", "capacity_mbps"),
-            optional=("delay_ms", "kind", "owner", "link_owner", "tags", "direction"),
-        )
-        kind = fields_.get("kind", "client")
-        if kind not in _NODE_KINDS:
-            raise ScenarioError(
-                f"{where}: unknown node kind {kind!r}"
-                f" (known: {', '.join(sorted(_NODE_KINDS))})"
-            )
-        direction = fields_.get("direction", "to-member")
-        if direction not in _LINK_DIRECTIONS:
-            raise ScenarioError(
-                f"{where}: direction must be one of {_LINK_DIRECTIONS}, got {direction!r}"
-            )
-        return GroupDirective(
-            name=_string(fields_["name"], f"{where}.name"),
-            prefix=_string(fields_["prefix"], f"{where}.prefix"),
-            count=_number_or_ref(fields_["count"], f"{where}.count"),
-            attach=_string(fields_["attach"], f"{where}.attach"),
-            capacity_mbps=_number_or_ref(fields_["capacity_mbps"], f"{where}.capacity_mbps"),
-            delay_ms=_number_or_ref(fields_.get("delay_ms", 5.0), f"{where}.delay_ms"),
-            kind=kind,
-            owner=str(fields_.get("owner", "")),
-            link_owner=str(fields_.get("link_owner", "")),
-            tags=_tags(fields_.get("tags"), f"{where}.tags"),
-            direction=direction,
-        )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "prefix": self.prefix,
-            "count": self.count,
-            "attach": self.attach,
-            "capacity_mbps": self.capacity_mbps,
-            "delay_ms": self.delay_ms,
-            "kind": self.kind,
-            "owner": self.owner,
-            "link_owner": self.link_owner,
-            "tags": list(self.tags),
-            "direction": self.direction,
-        }
-
+Directive = Union[NodeDirective, LinkDirective, GroupDirective]
 
 _DIRECTIVE_TYPES = {
     "node": NodeDirective,
@@ -348,45 +163,14 @@ _DIRECTIVE_TYPES = {
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """The ordered build list; order is part of the determinism contract."""
+    """The ordered build list; order is part of the determinism contract.
 
-    build: Tuple[Any, ...]
+    Each entry is written ``{node: ...}``, ``{link: ...}`` or
+    ``{group: ...}``.
+    """
+
+    build: Tuple[Directive, ...] = declare(nonempty=True, tagged=_DIRECTIVE_TYPES)
     name: str = ""
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "TopologySpec":
-        fields_ = _take(data, where, required=("build",), optional=("name",))
-        raw = fields_["build"]
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ScenarioError(f"{where}.build: expected a non-empty list of directives")
-        directives = []
-        for index, entry in enumerate(raw):
-            entry_where = f"{where}.build[{index}]"
-            entry_map = _mapping(entry, entry_where)
-            if len(entry_map) != 1:
-                raise ScenarioError(
-                    f"{entry_where}: expected exactly one of"
-                    f" {', '.join(sorted(_DIRECTIVE_TYPES))}, got {sorted(entry_map)}"
-                )
-            (tag, body), = entry_map.items()
-            if tag not in _DIRECTIVE_TYPES:
-                raise ScenarioError(
-                    f"{entry_where}: unknown directive {tag!r}"
-                    f" (known: {', '.join(sorted(_DIRECTIVE_TYPES))})"
-                )
-            directives.append(_DIRECTIVE_TYPES[tag].from_dict(body, f"{entry_where}.{tag}"))
-        return TopologySpec(build=tuple(directives), name=str(fields_.get("name", "")))
-
-    def to_dict(self) -> Dict[str, Any]:
-        build = []
-        for directive in self.build:
-            if isinstance(directive, NodeDirective):
-                build.append({"node": directive.to_dict()})
-            elif isinstance(directive, LinkDirective):
-                build.append({"link": directive.to_dict()})
-            else:
-                build.append({"group": directive.to_dict()})
-        return {"name": self.name, "build": build}
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +181,9 @@ class TopologySpec:
 class CatalogSpec:
     """Mirrors :class:`repro.cdn.content.ContentCatalog`'s knobs."""
 
-    items: Any
-    duration_s: Any = 120.0
-    zipf_alpha: Any = 1.0
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "CatalogSpec":
-        fields_ = _take(data, where, required=("items",), optional=("duration_s", "zipf_alpha"))
-        return CatalogSpec(
-            items=_number_or_ref(fields_["items"], f"{where}.items"),
-            duration_s=_number_or_ref(fields_.get("duration_s", 120.0), f"{where}.duration_s"),
-            zipf_alpha=_number_or_ref(fields_.get("zipf_alpha", 1.0), f"{where}.zipf_alpha"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "items": self.items,
-            "duration_s": self.duration_s,
-            "zipf_alpha": self.zipf_alpha,
-        }
+    items: NumberOrRef = number(integer=True, minimum=1)
+    duration_s: NumberOrRef = number(120.0, positive=True)
+    zipf_alpha: NumberOrRef = number(1.0, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -424,104 +192,32 @@ class ServerSpec:
     topology group (``group`` + ``id_format``, ``{node}``/``{index}``
     placeholders)."""
 
-    server_id: str = ""
+    server_id: str = declare("", key="id")
     node: str = ""
     group: str = ""
     id_format: str = ""
-    capacity_sessions: Any = 10_000
-    cache_mbit: Any = 10_000.0
-    degraded_rate_mbps: Any = None
+    capacity_sessions: NumberOrRef = number(10_000, integer=True, minimum=1)
+    cache_mbit: NumberOrRef = number(10_000.0, positive=True)
+    degraded_rate_mbps: Optional[NumberOrRef] = number(None, positive=True)
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "ServerSpec":
-        fields_ = _take(
-            data,
-            where,
-            optional=(
-                "id", "node", "group", "id_format",
-                "capacity_sessions", "cache_mbit", "degraded_rate_mbps",
-            ),
-        )
-        explicit = "id" in fields_ or "node" in fields_
-        grouped = "group" in fields_ or "id_format" in fields_
-        if explicit == grouped:
+    def check_fields(self, where: str) -> None:
+        explicit = (self.server_id, self.node)
+        grouped = (self.group, self.id_format)
+        if not (
+            (all(explicit) and not any(grouped))
+            or (all(grouped) and not any(explicit))
+        ):
             raise ScenarioError(
                 f"{where}: declare either id+node or group+id_format, not both/neither"
             )
-        degraded = fields_.get("degraded_rate_mbps")
-        return ServerSpec(
-            server_id=_string(fields_["id"], f"{where}.id") if explicit else "",
-            node=_string(fields_["node"], f"{where}.node") if explicit else "",
-            group=_string(fields_["group"], f"{where}.group") if grouped else "",
-            id_format=(
-                _string(fields_["id_format"], f"{where}.id_format") if grouped else ""
-            ),
-            capacity_sessions=_number_or_ref(
-                fields_.get("capacity_sessions", 10_000), f"{where}.capacity_sessions"
-            ),
-            cache_mbit=_number_or_ref(fields_.get("cache_mbit", 10_000.0), f"{where}.cache_mbit"),
-            degraded_rate_mbps=(
-                None if degraded is None
-                else _number_or_ref(degraded, f"{where}.degraded_rate_mbps")
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "capacity_sessions": self.capacity_sessions,
-            "cache_mbit": self.cache_mbit,
-        }
-        if self.group:
-            data["group"] = self.group
-            data["id_format"] = self.id_format
-        else:
-            data["id"] = self.server_id
-            data["node"] = self.node
-        if self.degraded_rate_mbps is not None:
-            data["degraded_rate_mbps"] = self.degraded_rate_mbps
-        return data
 
 
 @dataclass(frozen=True)
 class CdnSpec:
-    name: str
-    servers: Tuple[ServerSpec, ...]
+    name: str = declare(nonempty=True)
+    servers: Tuple[ServerSpec, ...] = declare(nonempty=True)
     origin: str = ""
-    warm_top_fraction: Any = None
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "CdnSpec":
-        fields_ = _take(
-            data, where,
-            required=("name", "servers"),
-            optional=("origin", "warm_top_fraction"),
-        )
-        raw_servers = fields_["servers"]
-        if not isinstance(raw_servers, (list, tuple)) or not raw_servers:
-            raise ScenarioError(f"{where}.servers: expected a non-empty list")
-        warm = fields_.get("warm_top_fraction")
-        return CdnSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            servers=tuple(
-                ServerSpec.from_dict(entry, f"{where}.servers[{index}]")
-                for index, entry in enumerate(raw_servers)
-            ),
-            origin=str(fields_.get("origin", "")),
-            warm_top_fraction=(
-                None if warm is None else _number_or_ref(warm, f"{where}.warm_top_fraction")
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "servers": [server.to_dict() for server in self.servers],
-        }
-        if self.origin:
-            data["origin"] = self.origin
-        if self.warm_top_fraction is not None:
-            data["warm_top_fraction"] = self.warm_top_fraction
-        return data
+    warm_top_fraction: Optional[NumberOrRef] = number(None, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -529,43 +225,11 @@ class EgressSpec:
     """Mirrors :class:`repro.sdn.te.EgressGroup`; links hold link *refs*
     (alias or canonical id), resolved against the topology plan."""
 
-    name: str
-    remote: str
-    candidates: Tuple[str, ...]
-    links: Mapping[str, str] = field(default_factory=dict)
+    name: str = declare(nonempty=True)
+    remote: str = declare(nonempty=True)
+    candidates: Tuple[str, ...] = declare(nonempty=True)
+    links: Mapping[str, str] = declare()
     preferred: str = ""
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "EgressSpec":
-        fields_ = _take(
-            data, where,
-            required=("name", "remote", "candidates", "links"),
-            optional=("preferred",),
-        )
-        candidates = fields_["candidates"]
-        if not isinstance(candidates, (list, tuple)) or not candidates:
-            raise ScenarioError(f"{where}.candidates: expected a non-empty list")
-        links = _mapping(fields_["links"], f"{where}.links")
-        return EgressSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            remote=_string(fields_["remote"], f"{where}.remote"),
-            candidates=tuple(
-                _string(c, f"{where}.candidates[{i}]") for i, c in enumerate(candidates)
-            ),
-            links={k: _string(v, f"{where}.links[{k}]") for k, v in links.items()},
-            preferred=str(fields_.get("preferred", "")),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "remote": self.remote,
-            "candidates": list(self.candidates),
-            "links": dict(self.links),
-        }
-        if self.preferred:
-            data["preferred"] = self.preferred
-        return data
 
 
 @dataclass(frozen=True)
@@ -573,35 +237,10 @@ class WebSpec:
     """A web-browsing workload: one server, a client group, and (for
     cellular worlds) per-client radio processes on the access links."""
 
-    server_node: str
-    clients: str
-    radio_tick_s: Any = None
+    server_node: str = declare(nonempty=True)
+    clients: str = declare(nonempty=True)
+    radio_tick_s: Optional[NumberOrRef] = number(None, positive=True)
     radio_stream: str = "radio"
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "WebSpec":
-        fields_ = _take(
-            data, where,
-            required=("server_node", "clients"),
-            optional=("radio_tick_s", "radio_stream"),
-        )
-        tick = fields_.get("radio_tick_s")
-        return WebSpec(
-            server_node=_string(fields_["server_node"], f"{where}.server_node"),
-            clients=_string(fields_["clients"], f"{where}.clients"),
-            radio_tick_s=None if tick is None else _number_or_ref(tick, f"{where}.radio_tick_s"),
-            radio_stream=str(fields_.get("radio_stream", "radio")),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "server_node": self.server_node,
-            "clients": self.clients,
-            "radio_stream": self.radio_stream,
-        }
-        if self.radio_tick_s is not None:
-            data["radio_tick_s"] = self.radio_tick_s
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -617,86 +256,37 @@ class PopulationSpec:
     feed the vectorized path.
     """
 
-    name: str
-    group: str
-    process: str
-    mode: str = "sessions"
-    rate: Mapping[str, Any] = field(default_factory=dict)
-    until_s: Any = None
-    max_sessions: Any = None
+    name: str = declare(nonempty=True)
+    group: str = declare(nonempty=True)
+    process: str = declare(choices=tuple(PROCESS_KINDS))
+    rate: Mapping[str, NumberOrRef] = number(minimum=0)
+    mode: str = declare("sessions", choices=POPULATION_MODES)
+    until_s: Optional[NumberOrRef] = number(None, minimum=0)
+    max_sessions: Optional[NumberOrRef] = number(None, integer=True, minimum=1)
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "PopulationSpec":
-        fields_ = _take(
-            data, where,
-            required=("name", "group", "process", "rate"),
-            optional=("mode", "until_s", "max_sessions"),
-        )
-        process = _string(fields_["process"], f"{where}.process")
-        if process not in PROCESS_KINDS:
-            raise ScenarioError(
-                f"{where}.process: unknown process {process!r}"
-                f" (known: {', '.join(sorted(PROCESS_KINDS))})"
-            )
-        mode = fields_.get("mode", "sessions")
-        if mode not in POPULATION_MODES:
-            raise ScenarioError(
-                f"{where}.mode: must be one of {POPULATION_MODES}, got {mode!r}"
-            )
-        rate = _mapping(fields_["rate"], f"{where}.rate")
-        if mode == "cohort":
-            allowed: Tuple[str, ...] = ("rate_per_device_s",)
-            required_keys: Tuple[str, ...] = ("rate_per_device_s",)
-            if process != "poisson":
+    def check_fields(self, where: str) -> None:
+        if self.mode == "cohort":
+            if self.process != "poisson":
                 raise ScenarioError(
                     f"{where}: cohort mode supports only the poisson process"
                 )
+            required: Tuple[str, ...] = ("rate_per_device_s",)
+            allowed = required
         else:
-            required_keys, optional_keys = PROCESS_KINDS[process]
-            allowed = required_keys + optional_keys
-        unknown = sorted(set(rate) - set(allowed))
+            required, optional = PROCESS_KINDS[self.process]
+            allowed = required + optional
+        unknown = sorted(set(self.rate) - set(allowed))
         if unknown:
             raise ScenarioError(
                 f"{where}.rate: unknown key(s) {', '.join(map(repr, unknown))}"
-                f" for process {process!r} (known: {', '.join(allowed)})"
+                f" for process {self.process!r} (known: {', '.join(allowed)})"
             )
-        missing = sorted(set(required_keys) - set(rate))
+        missing = sorted(set(required) - set(self.rate))
         if missing:
             raise ScenarioError(
                 f"{where}.rate: missing required key(s) {', '.join(missing)}"
-                f" for process {process!r}"
+                f" for process {self.process!r}"
             )
-        until = fields_.get("until_s")
-        max_sessions = fields_.get("max_sessions")
-        return PopulationSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            group=_string(fields_["group"], f"{where}.group"),
-            process=process,
-            mode=mode,
-            rate={
-                key: _number_or_ref(value, f"{where}.rate.{key}")
-                for key, value in rate.items()
-            },
-            until_s=None if until is None else _number_or_ref(until, f"{where}.until_s"),
-            max_sessions=(
-                None if max_sessions is None
-                else _number_or_ref(max_sessions, f"{where}.max_sessions")
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "name": self.name,
-            "group": self.group,
-            "process": self.process,
-            "mode": self.mode,
-            "rate": dict(self.rate),
-        }
-        if self.until_s is not None:
-            data["until_s"] = self.until_s
-        if self.max_sessions is not None:
-            data["max_sessions"] = self.max_sessions
-        return data
 
 
 @dataclass(frozen=True)
@@ -704,75 +294,31 @@ class PhaseSpec:
     """One phase of the scenario's arc; compiled to a ``phase-transition``
     trace event at ``at_s`` (when tracing is on)."""
 
-    name: str
-    at_s: Any
-    end_s: Any = None
-
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "PhaseSpec":
-        fields_ = _take(data, where, required=("name", "at_s"), optional=("end_s",))
-        end = fields_.get("end_s")
-        return PhaseSpec(
-            name=_string(fields_["name"], f"{where}.name"),
-            at_s=_number_or_ref(fields_["at_s"], f"{where}.at_s"),
-            end_s=None if end is None else _number_or_ref(end, f"{where}.end_s"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name, "at_s": self.at_s}
-        if self.end_s is not None:
-            data["end_s"] = self.end_s
-        return data
+    name: str = declare(nonempty=True)
+    at_s: NumberOrRef = number(minimum=0)
+    end_s: Optional[NumberOrRef] = number(None, minimum=0)
 
 
 @dataclass(frozen=True)
 class FaultEventSpec:
-    """One inline fault event; ``link`` is a link ref (alias or id)."""
+    """One inline fault event; ``link`` is a link ref (alias or id).
 
-    at_s: Any
-    kind: str
-    link: str
-    capacity_mbps: Any = None
-    factor: Any = None
+    Glass and provider faults need live objects, so they come via a
+    named plan (``use:``) rather than inline.
+    """
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "FaultEventSpec":
-        fields_ = _take(
-            data, where,
-            required=("at_s", "kind", "link"),
-            optional=("capacity_mbps", "factor"),
-        )
-        kind = _string(fields_["kind"], f"{where}.kind")
-        if kind not in INLINE_FAULT_KINDS:
-            raise ScenarioError(
-                f"{where}.kind: unknown inline fault kind {kind!r}"
-                f" (known: {', '.join(INLINE_FAULT_KINDS)};"
-                f" glass/provider faults come via a named plan 'use:')"
-            )
-        capacity = fields_.get("capacity_mbps")
-        factor = fields_.get("factor")
-        if kind == "link-cut" and capacity is None and factor is None:
+    at_s: NumberOrRef = number(minimum=0)
+    kind: str = declare(choices=INLINE_FAULT_KINDS)
+    link: str = declare(nonempty=True)
+    capacity_mbps: Optional[NumberOrRef] = number(None, positive=True)
+    factor: Optional[NumberOrRef] = number(None, minimum=0)
+
+    def check_fields(self, where: str) -> None:
+        sized = self.capacity_mbps is not None or self.factor is not None
+        if self.kind == "link-cut" and not sized:
             raise ScenarioError(f"{where}: link-cut needs capacity_mbps or factor")
-        if kind != "link-cut" and (capacity is not None or factor is not None):
-            raise ScenarioError(f"{where}: {kind} takes no capacity_mbps/factor")
-        return FaultEventSpec(
-            at_s=_number_or_ref(fields_["at_s"], f"{where}.at_s"),
-            kind=kind,
-            link=_string(fields_["link"], f"{where}.link"),
-            capacity_mbps=(
-                None if capacity is None
-                else _number_or_ref(capacity, f"{where}.capacity_mbps")
-            ),
-            factor=None if factor is None else _number_or_ref(factor, f"{where}.factor"),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"at_s": self.at_s, "kind": self.kind, "link": self.link}
-        if self.capacity_mbps is not None:
-            data["capacity_mbps"] = self.capacity_mbps
-        if self.factor is not None:
-            data["factor"] = self.factor
-        return data
+        if self.kind != "link-cut" and sized:
+            raise ScenarioError(f"{where}: {self.kind} takes no capacity_mbps/factor")
 
 
 @dataclass(frozen=True)
@@ -785,42 +331,11 @@ class FaultPlanSpec:
     events: Tuple[FaultEventSpec, ...] = ()
     use: str = ""
 
-    @staticmethod
-    def from_dict(data: Any, where: str) -> "FaultPlanSpec":
-        fields_ = _take(data, where, optional=("name", "description", "events", "use"))
-        use = str(fields_.get("use", ""))
-        raw_events = fields_.get("events")
-        if bool(use) == bool(raw_events):
+    def check_fields(self, where: str) -> None:
+        if bool(self.use) == bool(self.events):
             raise ScenarioError(f"{where}: declare either events or use, not both/neither")
-        if use:
-            return FaultPlanSpec(
-                name=str(fields_.get("name", "")) or use,
-                description=str(fields_.get("description", "")),
-                use=use,
-            )
-        if not isinstance(raw_events, (list, tuple)) or not raw_events:
-            raise ScenarioError(f"{where}.events: expected a non-empty list")
-        name = fields_.get("name")
-        if not name:
+        if self.events and not self.name:
             raise ScenarioError(f"{where}: inline plans need a name")
-        return FaultPlanSpec(
-            name=_string(name, f"{where}.name"),
-            description=str(fields_.get("description", "")),
-            events=tuple(
-                FaultEventSpec.from_dict(entry, f"{where}.events[{index}]")
-                for index, entry in enumerate(raw_events)
-            ),
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"name": self.name}
-        if self.description:
-            data["description"] = self.description
-        if self.use:
-            data["use"] = self.use
-        else:
-            data["events"] = [event.to_dict() for event in self.events]
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +423,28 @@ class TopologyPlan:
         return self.groups[name]
 
 
+def _inline_plan(spec: FaultPlanSpec, plan: TopologyPlan, where: str) -> FaultPlan:
+    """Compile one resolved inline fault plan against the topology plan."""
+    events = []
+    for index, event in enumerate(spec.events):
+        params = {
+            key: value
+            for key, value in (
+                ("capacity_mbps", event.capacity_mbps), ("factor", event.factor)
+            )
+            if value is not None
+        }
+        events.append(
+            FaultEvent(
+                time_s=event.at_s,
+                kind=event.kind,
+                target=plan.resolve_link(event.link, f"{where}.events[{index}].link"),
+                params=params,
+            )
+        )
+    return FaultPlan(name=spec.name, events=tuple(events), description=spec.description)
+
+
 # ---------------------------------------------------------------------------
 # the scenario spec itself
 # ---------------------------------------------------------------------------
@@ -916,8 +453,8 @@ class TopologyPlan:
 class ScenarioSpec:
     """A complete declarative scenario; see the module docstring."""
 
-    name: str
-    topology: TopologySpec
+    name: str = declare(nonempty=True)
+    topology: TopologySpec = declare()
     title: str = ""
     description: str = ""
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -929,82 +466,29 @@ class ScenarioSpec:
     phases: Tuple[PhaseSpec, ...] = ()
     faults: Tuple[FaultPlanSpec, ...] = ()
 
+    def check_fields(self, where: str) -> None:
+        for key, value in self.params.items():
+            if not is_number(value):
+                raise ScenarioError(
+                    f"{where}.params.{key}: defaults must be numbers, got {value!r}"
+                )
+
     # -- parsing -----------------------------------------------------------
 
     @staticmethod
     def from_dict(data: Any) -> "ScenarioSpec":
-        fields_ = _take(
-            data, "scenario",
-            required=("name", "topology"),
-            optional=(
-                "title", "description", "params", "catalog", "cdns",
-                "egress", "web", "populations", "phases", "faults",
-            ),
-        )
-        name = _string(fields_["name"], "scenario.name")
-        params = _mapping(fields_.get("params", {}), "scenario.params")
-        for key, value in params.items():
-            if not _is_number(value):
-                raise ScenarioError(
-                    f"scenario.params.{key}: defaults must be numbers, got {value!r}"
-                )
-
-        def _list(key: str, parser, where: str) -> tuple:
-            raw = fields_.get(key, [])
-            if not isinstance(raw, (list, tuple)):
-                raise ScenarioError(f"{where}: expected a list")
-            return tuple(
-                parser(entry, f"{where}[{index}]") for index, entry in enumerate(raw)
+        """Decode a dict-shaped spec; unknown keys are errors."""
+        try:
+            return dataclass_from_dict(  # type: ignore[return-value]
+                ScenarioSpec, data, strict=True, where="scenario"
             )
-
-        return ScenarioSpec(
-            name=name,
-            topology=TopologySpec.from_dict(fields_["topology"], "scenario.topology"),
-            title=str(fields_.get("title", "")),
-            description=str(fields_.get("description", "")),
-            params=dict(params),
-            catalog=(
-                CatalogSpec.from_dict(fields_["catalog"], "scenario.catalog")
-                if "catalog" in fields_ else None
-            ),
-            cdns=_list("cdns", CdnSpec.from_dict, "scenario.cdns"),
-            egress=_list("egress", EgressSpec.from_dict, "scenario.egress"),
-            web=(
-                WebSpec.from_dict(fields_["web"], "scenario.web")
-                if "web" in fields_ else None
-            ),
-            populations=_list(
-                "populations", PopulationSpec.from_dict, "scenario.populations"
-            ),
-            phases=_list("phases", PhaseSpec.from_dict, "scenario.phases"),
-            faults=_list("faults", FaultPlanSpec.from_dict, "scenario.faults"),
-        )
+        except SchemaError as error:
+            raise ScenarioError(str(error)) from None
 
     def to_dict(self) -> Dict[str, Any]:
-        """The canonical dict form; ``from_dict`` round-trips it exactly."""
-        data: Dict[str, Any] = {"name": self.name}
-        if self.title:
-            data["title"] = self.title
-        if self.description:
-            data["description"] = self.description
-        if self.params:
-            data["params"] = dict(self.params)
-        data["topology"] = self.topology.to_dict()
-        if self.catalog is not None:
-            data["catalog"] = self.catalog.to_dict()
-        if self.cdns:
-            data["cdns"] = [cdn.to_dict() for cdn in self.cdns]
-        if self.egress:
-            data["egress"] = [group.to_dict() for group in self.egress]
-        if self.web is not None:
-            data["web"] = self.web.to_dict()
-        if self.populations:
-            data["populations"] = [pop.to_dict() for pop in self.populations]
-        if self.phases:
-            data["phases"] = [phase.to_dict() for phase in self.phases]
-        if self.faults:
-            data["faults"] = [plan.to_dict() for plan in self.faults]
-        return data
+        """The canonical dict form (defaults omitted); ``from_dict``
+        round-trips it exactly."""
+        return dataclass_to_dict(self)
 
     # -- resolution --------------------------------------------------------
 
@@ -1019,7 +503,7 @@ class ScenarioSpec:
                     f"scenario {self.name!r}: unknown parameter {key!r}"
                     f" (declared: {', '.join(sorted(params)) or 'none'})"
                 )
-            if not _is_number(value):
+            if not is_number(value):
                 raise ScenarioError(
                     f"scenario {self.name!r}: parameter {key!r} must be a number,"
                     f" got {value!r}"
@@ -1027,10 +511,55 @@ class ScenarioSpec:
             params[key] = value
         return params
 
-    def topology_plan(self, params: Optional[Mapping[str, Any]] = None) -> TopologyPlan:
-        """Expand the build list with resolved params (pure; no sim)."""
-        if params is None:
-            params = self.resolved_params()
+    def resolve(self, params: Optional[Mapping[str, Any]] = None) -> "ScenarioSpec":
+        """This spec with every ``$param`` substituted and every bound checked.
+
+        ``params`` overrides the declared defaults; the result's
+        ``params`` holds the values used.  Nothing is coerced (an int
+        stays an int).  The rules that need numbers -- phase ordering
+        and the diurnal amplitude range -- are checked here too, so
+        they hold under overrides as well as at the defaults.
+        """
+        values = self.resolved_params(params)
+        try:
+            resolved = resolve_refs(self, values, "scenario")
+        except SchemaError as error:
+            raise ScenarioError(str(error)) from None
+        resolved = replace(resolved, params=values)
+        resolved._check_numbers()
+        return resolved
+
+    def _check_numbers(self) -> None:
+        for index, population in enumerate(self.populations):
+            amplitude = population.rate.get("amplitude")
+            if amplitude is not None and not 0 <= amplitude < 1:
+                raise ScenarioError(
+                    f"scenario.populations[{index}].rate.amplitude:"
+                    f" out of range [0, 1): {amplitude!r}"
+                )
+        previous: Optional[PhaseSpec] = None
+        for index, phase in enumerate(self.phases):
+            where = f"scenario.phases[{index}]"
+            start, end = phase.at_s, phase.end_s
+            if end is not None and end <= start:
+                raise ScenarioError(
+                    f"{where}: phase {phase.name!r} ends at {end!r}"
+                    f" before it starts ({start!r})"
+                )
+            if previous is not None and start <= previous.at_s:
+                raise ScenarioError(
+                    f"{where}: phase {phase.name!r} (at_s={start!r}) must start"
+                    f" after {previous.name!r} (at_s={previous.at_s!r})"
+                )
+            if previous is not None and previous.end_s is not None and start < previous.end_s:
+                raise ScenarioError(
+                    f"{where}: phase {phase.name!r} (at_s={start!r}) overlaps"
+                    f" {previous.name!r} (end_s={previous.end_s!r})"
+                )
+            previous = phase
+
+    def topology_plan(self) -> TopologyPlan:
+        """Expand the build list of a resolved spec (pure; no sim)."""
         plan = TopologyPlan(name=self.topology.name or self.name)
         for index, directive in enumerate(self.topology.build):
             where = f"scenario.topology.build[{index}]"
@@ -1049,13 +578,8 @@ class ScenarioSpec:
                     PlannedLink(
                         src=directive.src,
                         dst=directive.dst,
-                        capacity_mbps=_resolve_number(
-                            directive.capacity_mbps, params,
-                            f"{where}.capacity_mbps", positive=True,
-                        ),
-                        delay_ms=_resolve_number(
-                            directive.delay_ms, params, f"{where}.delay_ms", minimum=0
-                        ),
+                        capacity_mbps=directive.capacity_mbps,
+                        delay_ms=directive.delay_ms,
                         owner=directive.owner,
                         tags=directive.tags,
                         link_id=f"{directive.src}->{directive.dst}",
@@ -1068,15 +592,7 @@ class ScenarioSpec:
                     raise ScenarioError(f"{where}: duplicate group {directive.name!r}")
                 group = GroupPlan(name=directive.name)
                 plan.groups[directive.name] = group
-                count = _resolve_int(directive.count, params, f"{where}.count", minimum=1)
-                capacity = _resolve_number(
-                    directive.capacity_mbps, params, f"{where}.capacity_mbps",
-                    positive=True,
-                )
-                delay = _resolve_number(
-                    directive.delay_ms, params, f"{where}.delay_ms", minimum=0
-                )
-                for member_index in range(count):
+                for member_index in range(directive.count):
                     member = f"{directive.prefix}{member_index}"
                     plan._add_node(
                         PlannedNode(
@@ -1094,8 +610,8 @@ class ScenarioSpec:
                     link = PlannedLink(
                         src=src,
                         dst=dst,
-                        capacity_mbps=capacity,
-                        delay_ms=delay,
+                        capacity_mbps=directive.capacity_mbps,
+                        delay_ms=directive.delay_ms,
                         owner=directive.link_owner,
                         tags=directive.tags,
                         link_id=f"{src}->{dst}",
@@ -1105,93 +621,52 @@ class ScenarioSpec:
                     group.links.append(link.link_id)
         return plan
 
-    def fault_plans(
-        self,
-        params: Optional[Mapping[str, Any]] = None,
-        plan: Optional[TopologyPlan] = None,
-    ) -> List[FaultPlan]:
-        """Compile the spec's fault plans to :class:`FaultPlan` objects.
+    def fault_plans(self, plan: Optional[TopologyPlan] = None) -> List[FaultPlan]:
+        """Compile a resolved spec's fault plans to :class:`FaultPlan` objects.
 
-        Inline plans resolve link refs and ``$params`` statically;
+        Inline plans resolve link refs against the topology plan;
         ``use:`` entries are looked up in the named-plan registry (and
         must be registered -- importing the owning experiment module
         does that).
         """
-        if params is None:
-            params = self.resolved_params()
         if plan is None:
-            plan = self.topology_plan(params)
+            plan = self.topology_plan()
         compiled: List[FaultPlan] = []
         for index, spec in enumerate(self.faults):
             where = f"scenario.faults[{index}]"
-            if spec.use:
-                from repro.faults.plan import get_plan
-
-                try:
-                    named = get_plan(spec.use)
-                except KeyError as error:
-                    raise ScenarioError(f"{where}: {error.args[0]}") from None
-                compiled.append(named.factory())
+            if not spec.use:
+                compiled.append(_inline_plan(spec, plan, where))
                 continue
-            events = []
-            for event_index, event in enumerate(spec.events):
-                event_where = f"{where}.events[{event_index}]"
-                event_params: Dict[str, float] = {}
-                if event.capacity_mbps is not None:
-                    event_params["capacity_mbps"] = _resolve_number(
-                        event.capacity_mbps, params,
-                        f"{event_where}.capacity_mbps", positive=True,
-                    )
-                if event.factor is not None:
-                    event_params["factor"] = _resolve_number(
-                        event.factor, params, f"{event_where}.factor", minimum=0
-                    )
-                events.append(
-                    FaultEvent(
-                        time_s=_resolve_number(
-                            event.at_s, params, f"{event_where}.at_s", minimum=0
-                        ),
-                        kind=event.kind,
-                        target=plan.resolve_link(event.link, f"{event_where}.link"),
-                        params=event_params,
-                    )
-                )
-            compiled.append(
-                FaultPlan(name=spec.name, events=tuple(events), description=spec.description)
-            )
+            try:
+                named = get_plan(spec.use)
+            except KeyError as error:
+                raise ScenarioError(f"{where}: {error.args[0]}") from None
+            compiled.append(named.factory())
         return compiled
 
     # -- referential validation -------------------------------------------
 
     def validate(self) -> None:
-        """Cross-reference every section against the expanded topology.
+        """Resolve at the default params, then cross-reference every
+        section against the expanded topology.
 
-        Raises :class:`ScenarioError` on dangling node/link/group
-        references, overlapping or out-of-order phases, and fault plans
-        that cannot compile.  ``use:`` plans are checked only when the
-        registry knows them (see :func:`repro.scenarios.loader.validate_spec`
-        for the strict CLI path).
+        Raises :class:`ScenarioError` on out-of-bound numbers, dangling
+        node/link/group references, overlapping or out-of-order phases,
+        and fault plans that cannot compile.  ``use:`` plans are checked
+        only when the registry knows them (see
+        :func:`repro.scenarios.loader.validate_spec` for the strict CLI
+        path).
         """
-        params = self.resolved_params()
-        plan = self.topology_plan(params)
-
-        if self.catalog is not None:
-            _resolve_int(self.catalog.items, params, "scenario.catalog.items", minimum=1)
-            _resolve_number(
-                self.catalog.duration_s, params, "scenario.catalog.duration_s",
-                positive=True,
-            )
-            _resolve_number(
-                self.catalog.zipf_alpha, params, "scenario.catalog.zipf_alpha", minimum=0
-            )
+        spec = self.resolve()
+        plan = spec.topology_plan()
 
         seen_cdns = set()
-        for index, cdn in enumerate(self.cdns):
+        for index, cdn in enumerate(spec.cdns):
             where = f"scenario.cdns[{index}]"
             if cdn.name in seen_cdns:
                 raise ScenarioError(f"{where}: duplicate cdn {cdn.name!r}")
             seen_cdns.add(cdn.name)
-            if cdn.warm_top_fraction is not None and self.catalog is None:
+            if cdn.warm_top_fraction is not None and spec.catalog is None:
                 raise ScenarioError(f"{where}: warm_top_fraction needs a catalog")
             for server_index, server in enumerate(cdn.servers):
                 server_where = f"{where}.servers[{server_index}]"
@@ -1201,14 +676,10 @@ class ScenarioSpec:
                     raise ScenarioError(
                         f"{server_where}.node: unknown node {server.node!r}"
                     )
-                _resolve_int(
-                    server.capacity_sessions, params,
-                    f"{server_where}.capacity_sessions", minimum=1,
-                )
             if cdn.origin and cdn.origin not in plan.node_ids:
                 raise ScenarioError(f"{where}.origin: unknown node {cdn.origin!r}")
 
-        for index, group in enumerate(self.egress):
+        for index, group in enumerate(spec.egress):
             where = f"scenario.egress[{index}]"
             if group.remote not in plan.node_ids:
                 raise ScenarioError(f"{where}.remote: unknown node {group.remote!r}")
@@ -1225,92 +696,36 @@ class ScenarioSpec:
                     f"{where}.preferred: {group.preferred!r} not a candidate"
                 )
 
-        if self.web is not None:
-            if self.web.server_node not in plan.node_ids:
+        if spec.web is not None:
+            if spec.web.server_node not in plan.node_ids:
                 raise ScenarioError(
-                    f"scenario.web.server_node: unknown node {self.web.server_node!r}"
+                    f"scenario.web.server_node: unknown node {spec.web.server_node!r}"
                 )
-            plan.group(self.web.clients, "scenario.web.clients")
-            if self.web.radio_tick_s is not None:
-                _resolve_number(
-                    self.web.radio_tick_s, params, "scenario.web.radio_tick_s",
-                    positive=True,
-                )
+            plan.group(spec.web.clients, "scenario.web.clients")
 
         seen_populations = set()
-        for index, population in enumerate(self.populations):
+        for index, population in enumerate(spec.populations):
             where = f"scenario.populations[{index}]"
             if population.name in seen_populations:
                 raise ScenarioError(f"{where}: duplicate population {population.name!r}")
             seen_populations.add(population.name)
             plan.group(population.group, f"{where}.group")
-            for key, value in population.rate.items():
-                _resolve_number(value, params, f"{where}.rate.{key}", minimum=0)
-            if population.until_s is not None:
-                _resolve_number(population.until_s, params, f"{where}.until_s", minimum=0)
-            if population.max_sessions is not None:
-                _resolve_int(
-                    population.max_sessions, params, f"{where}.max_sessions", minimum=1
-                )
-            if "amplitude" in population.rate:
-                amplitude = _resolve(
-                    population.rate["amplitude"], params, f"{where}.rate.amplitude"
-                )
-                if not 0 <= amplitude < 1:
-                    raise ScenarioError(
-                        f"{where}.rate.amplitude: out of range [0, 1): {amplitude!r}"
-                    )
 
-        previous_name = ""
-        previous_start: Optional[float] = None
-        previous_end: Optional[float] = None
         seen_phases = set()
-        for index, phase in enumerate(self.phases):
-            where = f"scenario.phases[{index}]"
+        for index, phase in enumerate(spec.phases):
             if phase.name in seen_phases:
-                raise ScenarioError(f"{where}: duplicate phase {phase.name!r}")
+                raise ScenarioError(
+                    f"scenario.phases[{index}]: duplicate phase {phase.name!r}"
+                )
             seen_phases.add(phase.name)
-            start = _resolve_number(phase.at_s, params, f"{where}.at_s", minimum=0)
-            end = (
-                None if phase.end_s is None
-                else _resolve_number(phase.end_s, params, f"{where}.end_s", minimum=0)
-            )
-            if end is not None and end <= start:
-                raise ScenarioError(
-                    f"{where}: phase {phase.name!r} ends at {end!r}"
-                    f" before it starts ({start!r})"
-                )
-            if previous_start is not None and start <= previous_start:
-                raise ScenarioError(
-                    f"{where}: phase {phase.name!r} (at_s={start!r}) must start"
-                    f" after {previous_name!r} (at_s={previous_start!r})"
-                )
-            if previous_end is not None and start < previous_end:
-                raise ScenarioError(
-                    f"{where}: phase {phase.name!r} (at_s={start!r}) overlaps"
-                    f" {previous_name!r} (end_s={previous_end!r})"
-                )
-            previous_name, previous_start, previous_end = phase.name, start, end
 
         seen_plans = set()
-        for index, fault in enumerate(self.faults):
+        for index, fault in enumerate(spec.faults):
             where = f"scenario.faults[{index}]"
-            if fault.name in seen_plans:
-                raise ScenarioError(f"{where}: duplicate fault plan {fault.name!r}")
-            seen_plans.add(fault.name)
-            if fault.use:
-                continue  # registry membership is checked at compile time
-            # Compiling the single plan exercises link refs, times, params.
-            ScenarioSpec.fault_plans(
-                _only_fault(self, fault), params=params, plan=plan
-            )
-
-
-def _only_fault(spec: ScenarioSpec, fault: FaultPlanSpec) -> ScenarioSpec:
-    """A shallow copy carrying one inline fault plan (validation helper)."""
-    return ScenarioSpec(
-        name=spec.name,
-        topology=spec.topology,
-        params=dict(spec.params),
-        faults=(fault,),
-    )
+            # A use: plan without a name goes by the plan it uses.
+            name = fault.name or fault.use
+            if name in seen_plans:
+                raise ScenarioError(f"{where}: duplicate fault plan {name!r}")
+            seen_plans.add(name)
+            if not fault.use:  # registry membership is checked at compile time
+                _inline_plan(fault, plan, where)

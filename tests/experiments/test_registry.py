@@ -285,6 +285,15 @@ class TestRunExperiment:
         assert restored.counters == artifact.counters
         assert restored.tables == artifact.tables
 
+    def test_schema_1_artifact_loads_with_empty_metrics(self):
+        _tables, artifact = registry.run_experiment(_MINI_SPEC, seeds=[0])
+        payload = json.loads(artifact.to_json())
+        payload["schema"] = "eona-run-artifact/1"
+        del payload["metrics"]
+        restored = RunArtifact.from_dict(payload)
+        assert restored.metrics == {}
+        assert restored.counters == artifact.counters
+
     def test_round_trip_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="schema"):
             RunArtifact.from_json(json.dumps({"schema": "bogus/9"}))

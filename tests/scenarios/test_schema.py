@@ -10,13 +10,14 @@ import copy
 import pytest
 
 from repro.scenarios import (
+    compile_scenario,
     library_names,
     load_library_spec,
     load_round_trip,
     load_spec,
     validate_spec,
 )
-from repro.scenarios.schema import ScenarioError
+from repro.scenarios.schema import ScenarioError, ScenarioSpec
 
 
 def spec_dict(name: str = "flash-crowd") -> dict:
@@ -142,3 +143,55 @@ class TestRoundTrip:
         data["params"]["n_clients"] = 7
         spec = load_spec(copy.deepcopy(data))
         assert load_round_trip(spec).to_dict() == spec.to_dict()
+
+
+class TestDeclaredBounds:
+    """A field's bound is declared once and holds wherever it is read:
+    at validate time and under compile-time parameter overrides."""
+
+    @pytest.mark.parametrize("path, mutate", [
+        ("scenario.cdns[0].servers[0].cache_mbit",
+         lambda data: data["cdns"][0]["servers"][0].update(cache_mbit=-5)),
+        ("scenario.cdns[0].servers[0].degraded_rate_mbps",
+         lambda data: data["cdns"][0]["servers"][0].update(degraded_rate_mbps=-5)),
+        ("scenario.cdns[0].warm_top_fraction",
+         lambda data: data["cdns"][0].update(warm_top_fraction=-1)),
+    ])
+    def test_validate_reports_the_field_path(self, path, mutate):
+        data = spec_dict("live-event")
+        mutate(data)
+        (problem,) = validate_spec(ScenarioSpec.from_dict(data))
+        assert problem.startswith(f"{path}:")
+
+    def test_diurnal_amplitude_range_holds_under_overrides(self):
+        data = spec_dict("diurnal-regions")
+        data["params"]["amp"] = 0.9
+        data["populations"][0]["rate"]["amplitude"] = "$amp"
+        spec = load_spec(data)
+        with pytest.raises(ScenarioError) as caught:
+            compile_scenario(spec, params={"amp": 3.0})
+        assert str(caught.value).startswith("scenario.populations[0].rate.amplitude:")
+
+    def test_phase_order_holds_under_overrides(self):
+        data = spec_dict("live-event")
+        data["params"]["kickoff_s"] = data["phases"][1]["at_s"]
+        data["phases"][1]["at_s"] = "$kickoff_s"
+        spec = load_spec(data)
+        with pytest.raises(ScenarioError, match="must start after"):
+            compile_scenario(spec, params={"kickoff_s": 1.0})
+
+
+class TestDecoder:
+    def test_server_needs_id_and_node_together(self):
+        data = spec_dict("live-event")
+        del data["cdns"][0]["servers"][0]["node"]
+        message = rejection(data)
+        assert "scenario.cdns[0].servers[0]" in message
+        assert "declare either id+node or group+id_format" in message
+
+    def test_dump_omits_defaults(self):
+        build = spec_dict("live-event")["topology"]["build"]
+        core = next(entry["node"] for entry in build
+                    if entry.get("node", {}).get("id") == "core")
+        assert "kind" not in core  # router is the default kind
+        assert "tags" not in core

@@ -111,6 +111,10 @@ class TestFromDict:
                 "severity": 0.5,
             })
 
+    def test_errors_name_the_nested_field_path(self):
+        with pytest.raises(SchemaError, match=r"DemandEstimate\.demand_mbps\.x:"):
+            DemandEstimate.from_dict({"time": 1.0, "demand_mbps": {"x": "fast"}})
+
     def test_defaults_fill_omitted_optional_fields(self):
         signal = CongestionSignal.from_dict({
             "time": 1.0, "scope": "access", "congested": False,
